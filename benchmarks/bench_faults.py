@@ -1,16 +1,21 @@
-"""Fault-tolerance benchmark: journal overhead, recovery replay, ladder cost.
+"""Fault-tolerance benchmark: journal overhead and age, recovery, ladder cost.
 
-The robustness PR adds three moving parts that could each tax the happy
-path; this bench records the numbers that keep them honest:
+Crash safety adds moving parts that could each tax the happy path; this
+bench records the numbers that keep them honest:
 
 * **journal overhead ratio** — wall clock of one wire-driven tenant run
   with the write-ahead journal on (group-commit ``fsync_every=8``) over
   the same run with journaling off.  The hard acceptance gate: the
   ratio must stay at or under **1.25x** — crash safety is not allowed
   to cost more than a quarter of the clean wall.
+* **long-lived tenant** — one journaled tenant sends 20,000 requests
+  (smoke runs too: a shorter life is too noisy to judge), and the mean
+  cost of its journal write per request in the last tenth of its life
+  over the first tenth is ``append_late_over_early``.  The gate: at
+  most **3x** — an append must not cost more as the tenant ages.
 * **recovery replay ratio** — seconds for :meth:`DispatchService.
-  recover` to rebuild the tenant from checkpoint + journal over the
-  original run's wall.  Replay re-applies the accepted records (flushes
+  recover` to rebuild the tenant from its journal over the original
+  run's wall.  Replay re-applies the accepted records (flushes
   re-execute), so the ratio should hover near the journaled fraction of
   the run, not above it.
 * **degraded-vs-clean wall** — one sharded flush under a
@@ -66,6 +71,22 @@ JOURNAL_OVERHEAD_LIMIT = 1.25
 
 #: Group-commit cadence for the journaled run (recorded in the JSON).
 FSYNC_EVERY = 8
+
+#: The gate on ``append_late_over_early``.  A flat append reads ~1.0,
+#: but fsync latency and machine speed drift between the two tenths: on
+#: a 2-core VM, 13 runs of 20,000 requests read 0.36-1.43 (runs of
+#: 4,000 read 0.6-1.9, too wide to gate).  A journal that rewrote its
+#: whole history every 256 appends read 7.8x, 14.3x and 15.2x, so 3x
+#: sits clear of both.
+APPEND_GROWTH_LIMIT = 3.0
+
+#: The long-lived tenant: requests, fleet, per-window worker budget,
+#: window and task rate (tasks per time unit).
+LONG_REQUESTS = 20_000
+LONG_WORKERS = 12
+LONG_WORKER_BUDGET = 48.0
+LONG_WINDOW = 4.0
+LONG_TASK_RATE = 96.0
 
 
 def _smoke() -> bool:
@@ -127,6 +148,35 @@ def build_script(task_rate: float, seed: int = 7) -> list:
     return script
 
 
+def build_long_script(requests: int, seed: int = 7) -> list:
+    """A long-lived tenant's ``requests`` wire records, ending in Finish.
+
+    A fixed fleet of :data:`LONG_WORKERS` under a sliding budget window
+    (budgets refresh, so the tenant can run forever) and tasks on a
+    fixed schedule, advancing every 24 and draining every 48: the work
+    per request stays the same however old the tenant is.
+    """
+    rng = np.random.default_rng(seed)
+    options = SolveOptions(
+        seed=seed, max_batch_size=24, max_wait=0.1, window_seconds=LONG_WINDOW
+    )
+    script: list = [OpenSession(method="PUCE", options=options.to_dict())]
+    for worker_id in range(LONG_WORKERS):
+        worker = Worker(id=worker_id, location=Point(*rng.normal(size=2)), radius=1.4)
+        script.append(SubmitWorker.from_worker(worker, budget=LONG_WORKER_BUDGET))
+    count = 0
+    while len(script) < requests - 1:
+        at = count / LONG_TASK_RATE
+        task = Task(id=count, location=Point(*rng.normal(size=2)), value=4.5)
+        script.append(SubmitTask.from_task(task, at=at, deadline=at + 0.8))
+        count += 1
+        if count % 24 == 0:
+            script.append(Advance(to_time=at))
+        if count % 48 == 0:
+            script.append(Drain())
+    return script[: requests - 1] + [Finish()]
+
+
 async def _drive(service, script, tenant, start_seq=1, stop_after=None):
     final = None
     for index, record in enumerate(script):
@@ -136,6 +186,40 @@ async def _drive(service, script, tenant, start_seq=1, stop_after=None):
         if isinstance(reply, FinishedReply):
             final = reply
     return final
+
+
+def long_tenant_append_costs(script, config) -> list[float]:
+    """Seconds of journal write per request, in request order.
+
+    Times the tenant's journal ``append`` (with any fsync it triggers)
+    and bills a ``checkpoint`` fold, if the service makes one, to the
+    append that triggered it.
+    """
+    costs: list[float] = []
+
+    def timed(method, new_request):
+        def wrapper(*args):
+            started = time.perf_counter()
+            method(*args)
+            elapsed = time.perf_counter() - started
+            if new_request:
+                costs.append(elapsed)
+            else:
+                costs[-1] += elapsed
+
+        return wrapper
+
+    async def run():
+        service = DispatchService(config)
+        await service.submit("long", script[0], seq=1)
+        journal = service._tenants["long"].journal
+        journal.append = timed(journal.append, True)
+        journal.checkpoint = timed(journal.checkpoint, False)
+        await _drive(service, script[1:], "long", start_seq=2)
+        await service.close()
+
+    asyncio.run(run())
+    return costs
 
 
 def timed_wire_run(script, config) -> tuple[float, FinishedReply]:
@@ -184,19 +268,37 @@ def fault_rows():
         }
     )
 
-    # 2. Recovery replay: graceful stop mid-run, rebuild, finish.
+    # 2. Long-lived tenant: journal write cost per request versus age.
+    long_script = build_long_script(LONG_REQUESTS)
+    with tempfile.TemporaryDirectory() as scratch:
+        costs = long_tenant_append_costs(
+            long_script,
+            ServiceConfig(journal_dir=scratch, journal_fsync_every=FSYNC_EVERY),
+        )
+    tenth = len(costs) // 10
+    early = statistics.fmean(costs[:tenth])
+    late = statistics.fmean(costs[-tenth:])
+    rows.append(
+        {
+            "metric": "long_lived",
+            "requests": len(long_script),
+            "fsync_every": FSYNC_EVERY,
+            "append_us_early": early * 1e6,
+            "append_us_late": late * 1e6,
+            "append_late_over_early": late / early,
+            "growth_limit": APPEND_GROWTH_LIMIT,
+        }
+    )
+
+    # 3. Recovery replay: graceful stop mid-run, rebuild, finish.
     stop_after = len(script) // 2
     with tempfile.TemporaryDirectory() as scratch:
-        config = ServiceConfig(
-            journal_dir=scratch,
-            journal_fsync_every=FSYNC_EVERY,
-            journal_checkpoint_every=64,
-        )
+        config = ServiceConfig(journal_dir=scratch, journal_fsync_every=FSYNC_EVERY)
 
         async def crash_and_recover():
             service = DispatchService(config)
             await _drive(service, script, "bench", stop_after=stop_after)
-            await service.close()  # checkpoint + close; files survive
+            await service.close()  # the journal files survive
             entries = len(TenantJournal(scratch, "bench").entries())
             fresh = DispatchService(config)
             started = time.perf_counter()
@@ -220,7 +322,7 @@ def fault_rows():
         }
     )
 
-    # 3. Degraded vs clean flush: the ladder's latency price, and the
+    # 4. Degraded vs clean flush: the ladder's latency price, and the
     # bit-identity it buys.
     rng = np.random.default_rng(0)
     tasks, workers = [], []
@@ -284,6 +386,7 @@ def test_faults_baseline(fault_rows):
     """Record the fault-tolerance numbers and their hard gates."""
     rows = fault_rows["rows"]
     journal = next(r for r in rows if r["metric"] == "journal")
+    long_lived = next(r for r in rows if r["metric"] == "long_lived")
     recovery = next(r for r in rows if r["metric"] == "recovery")
     degraded = next(r for r in rows if r["metric"] == "degraded")
     lines = [
@@ -293,6 +396,11 @@ def test_faults_baseline(fault_rows):
         f"{journal['overhead_ratio']:>5.2f}x  "
         f"(limit {journal['overhead_limit']}x, "
         f"fsync_every={journal['fsync_every']})",
+        f"long-lived {long_lived['append_us_early']:>7.1f}us    "
+        f"{long_lived['append_us_late']:>7.1f}us    "
+        f"{long_lived['append_late_over_early']:>5.2f}x  "
+        f"(limit {long_lived['growth_limit']}x, late over early tenth of "
+        f"{long_lived['requests']} requests)",
         f"recovery   {recovery['replay_seconds']:>8.3f}s replay of "
         f"{recovery['entries_replayed']} entries  "
         f"({recovery['replay_ratio']:>5.2f}x of the journaled wall)",
@@ -312,6 +420,7 @@ def test_faults_baseline(fault_rows):
 
     # The acceptance gates, enforced at measurement time too.
     assert journal["overhead_ratio"] <= JOURNAL_OVERHEAD_LIMIT, journal
+    assert long_lived["append_late_over_early"] <= APPEND_GROWTH_LIMIT, long_lived
     assert recovery["finished_after_recovery"], recovery
     assert recovery["entries_replayed"] > 0, recovery
     assert degraded["results_identical"], degraded

@@ -311,18 +311,22 @@ def check_horizon(committed: dict, fresh: dict, floor: float, lines: list[str]) 
 
 
 def check_faults(committed: dict, fresh: dict, floor: float, lines: list[str]) -> bool:
-    """Journal overhead, recovery liveness, and ladder bit-identity.
+    """Journal overhead and age, recovery liveness, and ladder bit-identity.
 
     The journal overhead ratio carries its own **absolute** limit
     (``overhead_limit``, 1.25x per the acceptance criteria) — crash
     safety is a standing tax on every journaled request, so it does not
-    get the noise floor the other walls do.  The degraded-flush ratio
+    get the noise floor the other walls do.  So does the long-lived
+    tenant's late-over-early append cost (``growth_limit``, the
+    committed row's): a journal append must not cost more as its tenant
+    ages, whatever the machine's speed.  The degraded-flush ratio
     is latency the ladder deliberately spends and gates only against
     drift (committed times floor); ``results_identical`` is the
     functional bit that must never flip.
     """
     journal_base = next(r for r in committed["rows"] if r["metric"] == "journal")
     degraded_base = next(r for r in committed["rows"] if r["metric"] == "degraded")
+    long_base = next(r for r in committed["rows"] if r["metric"] == "long_lived")
     all_ok = True
     compared = 0
     for row in fresh["rows"]:
@@ -336,6 +340,16 @@ def check_faults(committed: dict, fresh: dict, floor: float, lines: list[str]) -
                 f"{row['overhead_ratio']:>5.2f}x  hard limit {limit:>5.2f}x  "
                 f"(fsync_every={row['fsync_every']})  "
                 f"{'ok' if ok else 'REGRESSION'}"
+            )
+        elif row.get("metric") == "long_lived":
+            compared += 1
+            limit = float(long_base["growth_limit"])
+            ok = row["append_late_over_early"] <= limit
+            all_ok &= ok
+            lines.append(
+                f"faults long-lived   append late/early: fresh "
+                f"{row['append_late_over_early']:>5.2f}x  hard limit {limit:>5.2f}x  "
+                f"({row['requests']} requests)  {'ok' if ok else 'REGRESSION'}"
             )
         elif row.get("metric") == "recovery":
             compared += 1

@@ -60,19 +60,17 @@ class ServiceConfig:
     journal_dir:
         Directory of per-tenant crash-safe journals
         (:class:`~repro.service.journal.TenantJournal`): every accepted
-        request is written ahead of being applied, and
-        :meth:`~repro.service.DispatchService.recover` rebuilds every
-        tenant session bit-identically after a crash by replaying it.
-        ``None`` (the default) disables journaling.
+        request is appended to the tenant's write-ahead log before it is
+        applied, and :meth:`~repro.service.DispatchService.recover`
+        rebuilds every tenant session bit-identically after a crash by
+        replaying it.  The log is the only file written, so an append
+        costs the same however old the tenant is.  ``None`` (the
+        default) disables journaling.
     journal_fsync_every:
         Fsync the journal every N appends.  1 (the default) makes every
         acknowledged request durable before its reply; larger values
         batch syncs and risk at most the last ``N - 1`` acknowledged
         entries on a crash.
-    journal_checkpoint_every:
-        Fold the write-ahead log into the checkpoint file after this
-        many appended entries, bounding the loose frames a restart
-        scans.
     default_options:
         :class:`~repro.api.options.SolveOptions` applied to sessions
         whose :class:`~repro.api.wire.OpenSession` carries no options.
@@ -87,7 +85,6 @@ class ServiceConfig:
     snapshot_path: str | None = None
     journal_dir: str | None = None
     journal_fsync_every: int = 1
-    journal_checkpoint_every: int = 256
     default_options: SolveOptions = SolveOptions()
 
     def __post_init__(self) -> None:
@@ -120,11 +117,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"journal_fsync_every must be >= 1, "
                 f"got {self.journal_fsync_every}"
-            )
-        if self.journal_checkpoint_every < 1:
-            raise ConfigurationError(
-                f"journal_checkpoint_every must be >= 1, "
-                f"got {self.journal_checkpoint_every}"
             )
         if not isinstance(self.default_options, SolveOptions):
             raise ConfigurationError(

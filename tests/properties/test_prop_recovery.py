@@ -119,7 +119,6 @@ async def crashing_run(script, kill_after, journal_dir):
     config = ServiceConfig(
         backpressure_ratio=None,
         journal_dir=str(journal_dir),
-        journal_checkpoint_every=5,  # small: checkpoints happen mid-run
     )
     service = DispatchService(config)
     tenant = "prop"

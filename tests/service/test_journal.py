@@ -1,6 +1,7 @@
 """Unit tests for the crash-safe tenant journal (framing, torn tails,
-checkpoints, sequence dedup)."""
+checkpoint files, sequence dedup, no rewrite while serving)."""
 
+import asyncio
 import json
 import zlib
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.api.wire import Advance, OpenSession, encode_record
 from repro.errors import ConfigurationError, JournalError
-from repro.service import TenantJournal, journal_tenants
+from repro.service import DispatchService, ServiceConfig, TenantJournal, journal_tenants
 
 
 def open_record():
@@ -17,6 +18,12 @@ def open_record():
 
 def advance_record(to_time=1.0):
     return encode_record(Advance(to_time=to_time))
+
+
+def frame(seq, record):
+    """One journal line, framed by hand (length + crc32 + payload)."""
+    payload = json.dumps({"record": record, "seq": seq}).encode()
+    return b"%08x %08x " % (len(payload), zlib.crc32(payload)) + payload + b"\n"
 
 
 class TestFraming:
@@ -91,25 +98,6 @@ class TestSequencing:
         with pytest.raises(JournalError):
             journal.append(1, advance_record())
 
-    def test_duplicate_sequences_across_files_are_deduped(self, tmp_path):
-        # A crash between checkpoint-replace and wal-truncate leaves the
-        # same entries in both files; replay must not double-apply.
-        journal = TenantJournal(tmp_path, "acme")
-        journal.append(1, open_record())
-        journal.append(2, advance_record())
-        journal.checkpoint()
-        journal.close()
-        # Simulate the torn checkpoint window: re-write the wal with the
-        # already-checkpointed entries still in it.
-        stale = TenantJournal(tmp_path / "other", "acme")
-        stale.append(1, open_record())
-        stale.append(2, advance_record())
-        stale.close()
-        journal.wal_path.write_bytes(stale.wal_path.read_bytes())
-
-        fresh = TenantJournal(tmp_path, "acme")
-        assert [seq for seq, _ in fresh.entries()] == [1, 2]
-
     def test_fsync_every_validates(self, tmp_path):
         with pytest.raises(ConfigurationError):
             TenantJournal(tmp_path, "acme", fsync_every=0)
@@ -123,22 +111,76 @@ class TestCheckpoint:
         journal.checkpoint()
         assert journal.wal_path.stat().st_size == 0
         assert journal.ckpt_path.stat().st_size > 0
-        assert journal.since_checkpoint == 0
         journal.append(3, advance_record(1.0))
         journal.close()
 
         fresh = TenantJournal(tmp_path, "acme")
         assert [seq for seq, _ in fresh.entries()] == [1, 2, 3]
 
-    def test_delete_removes_both_files(self, tmp_path):
+
+class TestLegacyCheckpoint:
+    def test_legacy_ckpt_is_read_once_and_deleted_with_the_wal(self, tmp_path):
+        # Older versions folded the WAL into a `.ckpt` file; a crash
+        # between that fold and the WAL truncation left the same entries
+        # in both.  Replay must apply each sequence number once.
         journal = TenantJournal(tmp_path, "acme")
-        journal.append(1, open_record())
-        journal.checkpoint()
-        journal.append(2, advance_record())
+        journal.ckpt_path.write_bytes(
+            frame(1, open_record()) + frame(2, advance_record(0.5))
+        )
+        journal.wal_path.write_bytes(
+            frame(1, open_record())
+            + frame(2, advance_record(0.5))
+            + frame(3, advance_record(1.0))
+        )
+        assert journal_tenants(tmp_path) == ["acme"]
+
+        entries = journal.entries()
+        assert [seq for seq, _ in entries] == [1, 2, 3]
+        assert entries[2][1] == advance_record(1.0)
+        assert journal.last_seq == 3
+
         journal.delete()
         assert not journal.wal_path.exists()
         assert not journal.ckpt_path.exists()
         assert journal_tenants(tmp_path) == []
+
+
+class TestServiceWrites:
+    def test_serving_appends_frames_and_never_rewrites(self, tmp_path, monkeypatch):
+        # More appends than any fold cadence: serving must only ever
+        # append to the WAL, never read the journal back.
+        appends = 300
+        reads = []
+        read_entries = TenantJournal.entries
+
+        def spy(journal):
+            reads.append(journal.tenant)
+            return read_entries(journal)
+
+        monkeypatch.setattr(TenantJournal, "entries", spy)
+
+        async def serve():
+            service = DispatchService(
+                ServiceConfig(journal_dir=str(tmp_path), journal_fsync_every=8)
+            )
+            await service.open_session("acme", OpenSession(method="GRD"))
+            for seq in range(2, appends + 1):
+                await service.submit("acme", Advance(to_time=0.01 * seq), seq=seq)
+            await service.close()
+
+        asyncio.run(serve())
+        monkeypatch.undo()
+        assert reads == []
+
+        journal = TenantJournal(tmp_path, "acme")
+        assert not journal.ckpt_path.exists()
+        data = journal.wal_path.read_bytes()
+        lines = data.splitlines()
+        assert len(lines) == appends
+        assert len(data) == sum(18 + int(line[0:8], 16) + 1 for line in lines)
+        entries = journal.entries()
+        assert [seq for seq, _ in entries] == list(range(1, appends + 1))
+        assert entries[-1][1] == advance_record(0.01 * appends)
 
 
 class TestDiscovery:

@@ -17,6 +17,7 @@ from repro.api.wire import (
     ShedReply,
     SubmitTask,
     SubmitWorker,
+    encode_record,
 )
 from repro.datasets.workload import Task, Worker
 from repro.errors import ConfigurationError, ServiceError
@@ -24,6 +25,7 @@ from repro.service import (
     DispatchService,
     ServiceClient,
     ServiceConfig,
+    TenantJournal,
     serve_jsonl,
 )
 from repro.spatial.geometry import Point
@@ -68,8 +70,10 @@ class TestServiceConfig:
         assert ServiceConfig.from_mapping(config.to_dict()) == config
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="typo"):
-            ServiceConfig.from_mapping({"typo": 3})
+        # The second is a removed knob: old configs must fail loudly.
+        for unknown in ({"typo": 3}, {"journal_checkpoint_every": 256}):
+            with pytest.raises(ConfigurationError, match=next(iter(unknown))):
+                ServiceConfig.from_mapping(unknown)
 
 
 class TestSessionLifecycle:
@@ -205,6 +209,52 @@ class TestAdmissionControl:
             assert isinstance(replies[2], ShedReply)
             assert replies[2].reason == "max_sessions"
             await service.close()
+
+        run(scenario())
+
+    def test_open_count_tracks_every_lifecycle_step(self, tmp_path):
+        def assert_count(service, expected):
+            recount = sum(1 for t in service._tenants.values() if not t.closed)
+            assert service.open_sessions == recount == expected
+
+        async def shed(service, name):
+            reply = await service.open_session(name, OpenSession(method="UCE"))
+            assert isinstance(reply, ShedReply)
+            assert reply.reason == "max_sessions"
+
+        # A journal that ends in `finish`: recover() must finish it again.
+        done = TenantJournal(tmp_path, "done")
+        done.append(1, encode_record(OpenSession(method="UCE")))
+        done.append(2, encode_record(Finish()))
+        done.close()
+        config = ServiceConfig(max_sessions=3, journal_dir=str(tmp_path))
+
+        async def scenario():
+            service = DispatchService(config)
+            for name in ("a", "b", "c"):
+                await service.open_session(name, OpenSession(method="UCE"))
+            assert_count(service, 3)
+            await shed(service, "d")
+            assert isinstance(await service.submit("a", Finish()), FinishedReply)
+            assert_count(service, 2)
+            # Re-opening a finished tenant's name counts it again.
+            reopened = await service.open_session("a", OpenSession(method="UCE"))
+            assert isinstance(reopened, AckReply)
+            assert_count(service, 3)
+            await shed(service, "d")
+            await service.submit("c", Finish())
+            assert_count(service, 2)
+            await service.close()
+            assert_count(service, 0)
+
+            restarted = DispatchService(config)
+            assert await restarted.recover() == ["a", "b", "done"]
+            assert_count(restarted, 2)
+            await restarted.open_session("c", OpenSession(method="UCE"))
+            assert_count(restarted, 3)
+            await shed(restarted, "d")
+            await restarted.close()
+            assert_count(restarted, 0)
 
         run(scenario())
 
