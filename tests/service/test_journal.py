@@ -98,6 +98,25 @@ class TestSequencing:
         with pytest.raises(JournalError):
             journal.append(1, advance_record())
 
+    def test_duplicate_sequences_across_files_are_deduped(self, tmp_path):
+        # A crash between checkpoint-replace and wal-truncate leaves the
+        # same entries in both files; replay must not double-apply.
+        journal = TenantJournal(tmp_path, "acme")
+        journal.append(1, open_record())
+        journal.append(2, advance_record())
+        journal.checkpoint()
+        journal.close()
+        # Simulate the torn checkpoint window: re-write the wal with the
+        # already-checkpointed entries still in it.
+        stale = TenantJournal(tmp_path / "other", "acme")
+        stale.append(1, open_record())
+        stale.append(2, advance_record())
+        stale.close()
+        journal.wal_path.write_bytes(stale.wal_path.read_bytes())
+
+        fresh = TenantJournal(tmp_path, "acme")
+        assert [seq for seq, _ in fresh.entries()] == [1, 2]
+
     def test_fsync_every_validates(self, tmp_path):
         with pytest.raises(ConfigurationError):
             TenantJournal(tmp_path, "acme", fsync_every=0)
@@ -116,6 +135,16 @@ class TestCheckpoint:
 
         fresh = TenantJournal(tmp_path, "acme")
         assert [seq for seq, _ in fresh.entries()] == [1, 2, 3]
+
+    def test_delete_removes_both_files(self, tmp_path):
+        journal = TenantJournal(tmp_path, "acme")
+        journal.append(1, open_record())
+        journal.checkpoint()
+        journal.append(2, advance_record())
+        journal.delete()
+        assert not journal.wal_path.exists()
+        assert not journal.ckpt_path.exists()
+        assert journal_tenants(tmp_path) == []
 
 
 class TestLegacyCheckpoint:
