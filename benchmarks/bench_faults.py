@@ -4,10 +4,12 @@ Crash safety adds moving parts that could each tax the happy path; this
 bench records the numbers that keep them honest:
 
 * **journal overhead ratio** — wall clock of one wire-driven tenant run
-  with the write-ahead journal on (group-commit ``fsync_every=8``) over
-  the same run with journaling off.  The hard acceptance gate: the
-  ratio must stay at or under **1.25x** — crash safety is not allowed
-  to cost more than a quarter of the clean wall.
+  (the full 183-request script, smoke runs too) with the write-ahead
+  journal on (group-commit ``fsync_every=8``) over the same run with
+  journaling off, clean and journaled runs interleaved, min of
+  :data:`JOURNAL_RUNS` each.  The hard acceptance gate: the ratio must
+  stay at or under **1.25x** — crash safety is not allowed to cost
+  more than a quarter of the clean wall.
 * **long-lived tenant** — one journaled tenant sends 20,000 requests
   (smoke runs too: a shorter life is too noisy to judge), and the mean
   cost of its journal write per request in the last tenth of its life
@@ -72,6 +74,16 @@ JOURNAL_OVERHEAD_LIMIT = 1.25
 #: Group-commit cadence for the journaled run (recorded in the JSON).
 FSYNC_EVERY = 8
 
+#: Interleaved clean/journaled pairs behind the overhead ratio (at least;
+#: ``REPRO_BENCH_RUNS`` may ask for more).  On a 2-core VM, 198 pairs of
+#: the 183-request script (three sessions of 45, 63 and 90) read
+#: single-pair ratios of 0.70-1.68 around a median near 1.0, clean wall
+#: 0.43-0.92 s.  Min-of-3 ratios reached 1.32 and min-of-5 1.29, past
+#: the 1.25x gate on noise alone; min-of-7 reached 1.21 and min-of-9
+#: 1.21, so nine pairs (about 11 s) keep the gate clear of noise.  The
+#: 70-request smoke script this replaces read 1.34-1.47x, 3 runs of 3.
+JOURNAL_RUNS = 9
+
 #: The gate on ``append_late_over_early``.  A flat append reads ~1.0,
 #: but fsync latency and machine speed drift between the two tenths: on
 #: a 2-core VM, 13 runs of 20,000 requests read 0.36-1.43 (runs of
@@ -98,7 +110,7 @@ def _runs() -> int:
 
 
 def _task_rate() -> float:
-    return float(os.environ.get("REPRO_BENCH_FAULT_RATE", "40" if _smoke() else "120"))
+    return float(os.environ.get("REPRO_BENCH_FAULT_RATE", "120"))
 
 
 def _json_target() -> Path | None:
@@ -240,10 +252,12 @@ def fault_rows():
     script = build_script(_task_rate())
     rows = []
 
-    # 1. Journal overhead: the same wire run, journal off vs on.
+    # 1. Journal overhead: the same wire run, journal off vs on,
+    # interleaved; the minimum of each is its least-disturbed run.
+    journal_runs = max(runs, JOURNAL_RUNS)
     with tempfile.TemporaryDirectory() as scratch:
         clean_walls, journal_walls = [], []
-        for attempt in range(runs):
+        for attempt in range(journal_runs):
             clean_walls.append(timed_wire_run(script, ServiceConfig())[0])
             journal_walls.append(
                 timed_wire_run(
@@ -254,12 +268,13 @@ def fault_rows():
                     ),
                 )[0]
             )
-        clean_wall = statistics.median(clean_walls)
-        journal_wall = statistics.median(journal_walls)
+        clean_wall = min(clean_walls)
+        journal_wall = min(journal_walls)
     rows.append(
         {
             "metric": "journal",
             "requests": len(script),
+            "runs": journal_runs,
             "fsync_every": FSYNC_EVERY,
             "clean_wall_seconds": clean_wall,
             "journal_wall_seconds": journal_wall,

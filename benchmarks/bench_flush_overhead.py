@@ -10,10 +10,17 @@ fixed cost under two regimes and records the ratio later PRs must hold:
   ``PairArrays.from_rows`` row packing, eagerly materialised
   ``candidates`` / pair-index views, and a solve with fresh per-run
   buffers;
-* **reuse** — the live hot path: brute-force micro reachability with a
+* **reuse** — the live hot path: exact-radius reachability (a Python
+  scan for micro instances, a vectorised superset test plus exact
+  ``hypot`` on its survivors above ``BRUTE_FORCE_PAIR_LIMIT``) with a
   single batched budget draw and direct array assembly, lazy views, and
   a solve through one shared :class:`~repro.core.workspace.
   EngineWorkspace` arena.
+
+Instance preparation is timed at two shapes: the duty-cycle micro-flush
+(``flush_prep``, on the scan) and the evening cap flush of a rush-hour
+replay, 200 tasks over 300 idle workers (``flush_prep_peak``, on the
+vectorised path).
 
 It also runs the checked-in duty-cycle scenario with the
 flush-fingerprint solver cache off and on (``examples/
@@ -57,6 +64,10 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_flush.json"
 #: Micro-flush shape: the duty-cycle regime the streaming layer lives in.
 FLUSH_TASKS = 8
 FLUSH_WORKERS = 16
+#: Cap-flush shape: a full 200-task flush over a rush-hour idle pool
+#: (about 2,100 feasible pairs at ``worker_range=2.0``).
+PEAK_TASKS = 200
+PEAK_WORKERS = 300
 
 
 def _smoke() -> bool:
@@ -158,6 +169,37 @@ def flush_rows():
         }
     )
 
+    # 1b. The same preparation at the cap-flush shape, where the grid's
+    # per-worker Python queries meet the vectorised reachability test.
+    # Fewer repetitions: one call costs milliseconds, not microseconds.
+    peak = NormalGenerator(
+        num_tasks=PEAK_TASKS, num_workers=PEAK_WORKERS, seed=1
+    ).instance(task_value=4.5, worker_range=2.0)
+    peak_reps = max(5, reps // 8)
+    peak_rebuild_us = _median_us(
+        lambda: legacy_flush_instance(peak.tasks, peak.workers, peak.model, 0),
+        peak_reps,
+        runs,
+    )
+    peak_reuse_us = _median_us(
+        lambda: ProblemInstance.build(
+            peak.tasks, peak.workers, seed=np.random.default_rng(0)
+        ),
+        peak_reps,
+        runs,
+    )
+    rows.append(
+        {
+            "metric": "flush_prep_peak",
+            "tasks": PEAK_TASKS,
+            "workers": PEAK_WORKERS,
+            "pairs": peak.num_feasible_pairs,
+            "rebuild_us": peak_rebuild_us,
+            "reuse_us": peak_reuse_us,
+            "speedup": peak_rebuild_us / peak_reuse_us,
+        }
+    )
+
     # 2. End-to-end micro-flush (prep + solve), rebuild vs reuse arena.
     for name, solver in (("UCE", UCESolver()), ("PUCE", PUCESolver())):
         workspace = EngineWorkspace()
@@ -235,18 +277,18 @@ def flush_rows():
 def test_flush_overhead_baseline(flush_rows):
     """Record the per-flush fixed-cost numbers and their invariants."""
     rows = flush_rows["rows"]
-    lines = ["metric       method  rebuild_us  reuse_us  speedup  cache_hit_rate"]
+    lines = ["metric          method  rebuild_us  reuse_us  speedup  cache_hit_rate"]
     for row in rows:
-        if row["metric"] in ("flush_prep", "flush_total"):
+        if row["metric"] in ("flush_prep", "flush_prep_peak", "flush_total"):
             lines.append(
-                f"{row['metric']:<12} {row.get('method', '-'):<7} "
+                f"{row['metric']:<15} {row.get('method', '-'):<7} "
                 f"{row['rebuild_us']:>10.1f} {row['reuse_us']:>9.1f} "
                 f"{row['speedup']:>8.2f}  {'-':>14}"
             )
         else:
             label = f"{row['method']}{'+cache' if row['cache'] else ''}"
             lines.append(
-                f"{row['metric']:<12} {label:<13} {'-':>4} "
+                f"{row['metric']:<15} {label:<13} {'-':>4} "
                 f"{row['wall_seconds']:>9.3f}s {'-':>8}  "
                 f"{row['cache_hit_rate']:>13.0%}"
             )

@@ -22,6 +22,8 @@ model and trips the :meth:`WorkerBudgetTracker.charge` audit instead.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,6 +282,10 @@ class MicroBatcher:
     model: UtilityModel | None = None
     controller: AdaptiveBatchController | None = None
     _pending: list[OpenTask] = field(default_factory=list, repr=False)
+    # The buffer's earliest deadline and earliest ``buffer_since``, kept
+    # current on every change so the per-event trigger checks cost O(1).
+    _min_deadline: float = field(default=math.inf, init=False, repr=False)
+    _min_since: float = field(default=math.inf, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # One validation path: shared with SolveOptions (repro.api.options).
@@ -296,6 +302,7 @@ class MicroBatcher:
                 self.controller.min_size,
                 min(self.max_batch_size, self.controller.max_size),
             )
+        self._rescan()
 
     def observe_flush(
         self, service_seconds: float, flushed: int, pairs: int = 0
@@ -313,9 +320,31 @@ class MicroBatcher:
         return self.max_batch_size
 
     # -- buffer ------------------------------------------------------------
+    #
+    # The flush triggers run on every stream event, so they read two
+    # tracked minima instead of scanning the buffer: ``add`` and
+    # ``restore`` fold new tasks in, and only ``take_batch`` or an actual
+    # expiry — the events that remove tasks — rescan what is left.
+
+    def _rescan(self) -> None:
+        """Recompute the tracked minima from the whole buffer."""
+        self._min_deadline = math.inf
+        self._min_since = math.inf
+        self._track(self._pending)
+
+    def _track(self, open_tasks: list[OpenTask] | tuple[OpenTask, ...]) -> None:
+        """Fold ``open_tasks`` (already in the buffer) into the minima."""
+        min_deadline, min_since = self._min_deadline, self._min_since
+        for open_task in open_tasks:
+            if open_task.deadline < min_deadline:
+                min_deadline = open_task.deadline
+            if open_task.buffer_since < min_since:
+                min_since = open_task.buffer_since
+        self._min_deadline, self._min_since = min_deadline, min_since
 
     def add(self, open_task: OpenTask) -> None:
         self._pending.append(open_task)
+        self._track((open_task,))
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -324,11 +353,13 @@ class MicroBatcher:
     def pending(self) -> tuple[OpenTask, ...]:
         return tuple(self._pending)
 
+    def earliest_deadline(self) -> float | None:
+        """Earliest ``deadline`` among pending tasks."""
+        return self._min_deadline if self._pending else None
+
     def oldest_waiting(self) -> float | None:
         """Earliest ``buffer_since`` among pending tasks."""
-        if not self._pending:
-            return None
-        return min(t.buffer_since for t in self._pending)
+        return self._min_since if self._pending else None
 
     def flush_deadline(self) -> float | None:
         """The absolute time by which a wait-triggered flush is due."""
@@ -343,9 +374,12 @@ class MicroBatcher:
 
     def expire(self, now: float) -> list[OpenTask]:
         """Drop and return every pending task whose deadline has passed."""
+        if not now > self._min_deadline:
+            # No deadline lies before ``now``: nothing can have expired.
+            return []
         expired = [t for t in self._pending if t.expired(now)]
-        if expired:
-            self._pending = [t for t in self._pending if not t.expired(now)]
+        self._pending = [t for t in self._pending if not t.expired(now)]
+        self._rescan()
         return expired
 
     def take_batch(self) -> list[OpenTask]:
@@ -353,6 +387,7 @@ class MicroBatcher:
         self._pending.sort(key=lambda t: (t.arrival_time, t.task.id))
         batch = self._pending[: self.max_batch_size]
         self._pending = self._pending[self.max_batch_size :]
+        self._rescan()
         return batch
 
     def restore(self, open_tasks: list[OpenTask], now: float) -> None:
@@ -364,6 +399,7 @@ class MicroBatcher:
         for open_task in open_tasks:
             open_task.buffer_since = now
         self._pending.extend(open_tasks)
+        self._track(open_tasks)
 
     # -- instance assembly -------------------------------------------------
 
@@ -373,15 +409,22 @@ class MicroBatcher:
         workers: list[Worker],
         tracker: WorkerBudgetTracker | None = None,
         seed: int | np.random.Generator | None = None,
+        remaining: list[float] | None = None,
     ) -> ProblemInstance:
         """One flush's :class:`ProblemInstance`, budget-capped per worker.
 
         Reachability and distances come from the standard
-        :meth:`ProblemInstance.build` path (grid index + exact distances);
-        each pair's sampled budget vector is then truncated so the sum of
-        *all* retained elements across a worker's pairs is at most the
-        worker's remaining shift budget.  Pairs left with no affordable
-        element drop out of the worker's reachable set entirely.
+        :meth:`ProblemInstance.build` path (exact radius predicate, pair
+        cost proportional to the feasible pairs); each pair's sampled
+        budget vector is then truncated so the sum of *all* retained
+        elements across a worker's pairs is at most the worker's
+        remaining shift budget.  Pairs left with no affordable element
+        drop out of the worker's reachable set entirely.
+
+        ``remaining`` is the workers' remaining budgets, index-aligned
+        with ``workers``, when the caller has already read them this
+        flush (the simulator reads each one once while picking the idle
+        pool); otherwise they are read from ``tracker``.
 
         The truncation works on the instance's pair arrays directly: each
         pair's affordable prefix length falls out of its budget cumsum
@@ -407,9 +450,9 @@ class MicroBatcher:
         offsets = pairs.offsets
         prefix = pairs.budget_prefix
         budget_len = pairs.budget_len
-        remaining0 = np.array(
-            [tracker.remaining(w.id) for w in workers], dtype=np.float64
-        )
+        if remaining is None:
+            remaining = [tracker.remaining(w.id) for w in workers]
+        remaining0 = np.array(remaining, dtype=np.float64)
 
         # Affordable prefix length per pair: element u fits exactly when
         # the pair-local cumulative spend up to u stays within the
@@ -438,15 +481,26 @@ class MicroBatcher:
         if np.any(fits):
             unconstrained = np.repeat(fits, np.diff(offsets))
             keep_len[unconstrained] = budget_len[unconstrained]
-        for j in np.flatnonzero(~fits).tolist():
-            lo, hi = int(offsets[j]), int(offsets[j + 1])
-            remaining = remaining0[j]
-            for p in range(lo, hi):
-                z = int(budget_len[p])
-                k = int(np.count_nonzero(prefix[p, 1 : z + 1] <= remaining + 1e-12))
-                keep_len[p] = k
-                if k:
-                    remaining -= prefix[p, k]
+        tight = np.flatnonzero(~fits & (offsets[1:] > offsets[:-1])).tolist()
+        if tight:
+            # The exact sequential remainder loop, on Python lists: the
+            # count of prefix sums within the remainder is a bisection of
+            # the monotone row.  A NaN remainder compares false against
+            # every element (the array form kept nothing), which bisect
+            # would read as "everything fits", so it keeps nothing here.
+            bounds = offsets.tolist()
+            lengths = budget_len.tolist()
+            for j in tight:
+                lo, hi = bounds[j], bounds[j + 1]
+                left = float(remaining0[j])
+                for p, row in enumerate(prefix[lo:hi].tolist(), lo):
+                    limit = left + 1e-12
+                    if limit != limit:
+                        continue
+                    k = bisect_right(row, limit, 1, lengths[p] + 1) - 1
+                    keep_len[p] = k
+                    if k:
+                        left -= row[k]
 
         if np.array_equal(keep_len, budget_len):
             capped = instance

@@ -521,26 +521,36 @@ class DispatchSimulator:
 
     # -- flushing ----------------------------------------------------------
 
-    def _idle_workers(self) -> list[Worker]:
+    def _idle_workers(self) -> tuple[list[Worker], list[float] | None]:
         """Idle, non-retired workers eligible for the next micro-batch.
 
         A worker whose whole shift budget is spent can never publish again
         under a private solver, so they are retired from the pool (for
         non-private solvers spend stays zero and nobody retires).  Under
         a windowed accountant retirement is per-flush, not permanent:
-        ``exhausted`` recomputes against the window at the observed flush
+        ``remaining`` recomputes against the window at the observed flush
         time, so a worker re-enters the pool once their old releases age
         out.
+
+        Returns the pool sorted by id and, for a private solver, each
+        pool worker's remaining budget as read here (``None`` otherwise):
+        one accountant read per idle worker per flush, which the budget
+        cap and the cache fingerprint reuse.
         """
-        pool = []
-        for active in self._workers.values():
-            if not active.idle:
-                continue
-            if self.solver.is_private and self.tracker.exhausted(active.worker.id):
-                continue
-            pool.append(active.worker)
-        pool.sort(key=lambda w: w.id)
-        return pool
+        pool = sorted(
+            (active.worker for active in self._workers.values() if active.idle),
+            key=lambda worker: worker.id,
+        )
+        if not self.solver.is_private:
+            return pool, None
+        remaining_of = self.tracker.remaining
+        budgets = [remaining_of(worker.id) for worker in pool]
+        # Retire the exhausted: not even a zero-floor publish fits.
+        eligible = [k for k, left in enumerate(budgets) if not left <= 0.0]
+        if len(eligible) < len(pool):
+            pool = [pool[k] for k in eligible]
+            budgets = [budgets[k] for k in eligible]
+        return pool, budgets
 
     def _flush(self, now: float) -> None:
         self._expire_pending(now)
@@ -551,7 +561,7 @@ class DispatchSimulator:
         self.tracker.observe(now)
         if not len(self.batcher):
             return
-        workers = self._idle_workers()
+        workers, remaining = self._idle_workers()
         faults = self.config.faults
         if (
             faults is not None
@@ -571,11 +581,13 @@ class DispatchSimulator:
             victim = workers[int(pick)]
             self._on_departure(WorkerDeparture(time=now, worker_id=victim.id))
             self.tracer.event("fault.worker_departure")
-            workers = [w for w in workers if w.id != victim.id]
+            if remaining is not None:
+                del remaining[int(pick)]
+            del workers[int(pick)]
         if not workers:
             # Tasks wait for the fleet; arm a sweep at the next deadline so
             # expiry is recorded even if no other event advances the clock.
-            next_deadline = min(t.deadline for t in self.batcher.pending)
+            next_deadline = self.batcher.earliest_deadline()
             self._arm_timer(next_deadline + 1e-9, _PRIO_FLUSH, None)
             return
         batch_limit = self.batcher.max_batch_size
@@ -597,11 +609,13 @@ class DispatchSimulator:
                 # remaining shift budgets, and those must never alias (see
                 # repro.stream.cache).
                 with tracer.span("flush.cache"):
-                    remaining = (
-                        tuple(self.tracker.remaining(w.id) for w in workers)
-                        if self._cache_profile.content_sensitive
-                        else None
-                    )
+                    budgets = None
+                    if self._cache_profile.content_sensitive:
+                        budgets = (
+                            tuple(remaining)
+                            if remaining is not None
+                            else tuple(self.tracker.remaining(w.id) for w in workers)
+                        )
                     fingerprint = flush_inputs_fingerprint(
                         [t.task for t in open_tasks],
                         workers,
@@ -610,7 +624,7 @@ class DispatchSimulator:
                         self._cache_profile,
                         build_key=build_key,
                         noise_key=noise_key,
-                        remaining_budgets=remaining,
+                        remaining_budgets=budgets,
                     )
                     hit = self._cache.lookup(fingerprint)
                     cache_hit = hit is not None
@@ -636,6 +650,7 @@ class DispatchSimulator:
                         # them would misprice the comparison.
                         tracker=self.tracker if self.solver.is_private else None,
                         seed=np.random.default_rng(build_key),
+                        remaining=remaining,
                     )
                 pairs_count = instance.num_feasible_pairs
                 with stopwatch() as solve_watch:
@@ -695,7 +710,10 @@ class DispatchSimulator:
                 self.batcher.restore(list(unassigned.values()), now)
                 if unassigned:
                     self._arm_timer(now + self.config.max_wait, _PRIO_FLUSH, None)
-                for worker_id in (w.id for w in workers):
+                # Only this flush's publishers changed their lifetime
+                # spend; id order keeps the dict's first-insertion order
+                # (flush by flush, ids ascending within a flush).
+                for worker_id in sorted(result.ledger.workers()):
                     spend = self.tracker.spent(worker_id)
                     if spend:
                         self.stats.per_worker_spend[worker_id] = spend

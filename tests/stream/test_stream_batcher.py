@@ -1,6 +1,10 @@
 """Unit tests for micro-batching and cross-flush budget accounting."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.budgets import BudgetSampler
 from repro.datasets.workload import Task, Worker
@@ -257,6 +261,44 @@ class TestTruncationFastPath:
             assert spent[j] <= tracker.remaining(j) + 1e-9
         assert np.all(capped.pairs.budget_len >= 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_most_pairs_tight(self, seed):
+        """Every worker near or under their total walks the exact loop."""
+        import numpy as np
+
+        batcher = MicroBatcher(
+            budget_sampler=BudgetSampler(low=0.5, high=1.75, group_size=4)
+        )
+        tasks = [open_task(i, x=0.3 * (i % 4), y=0.3 * (i // 4)) for i in range(12)]
+        fleet = [worker(j, x=0.2 * j, radius=3.0) for j in range(8)]
+        uncapped = batcher.build_instance(tasks, fleet, None, seed=seed)
+        pairs = uncapped.pairs
+        rng = np.random.default_rng(seed)
+        tracker = WorkerBudgetTracker()
+        for j in range(len(fleet)):
+            lo, hi = int(pairs.offsets[j]), int(pairs.offsets[j + 1])
+            total = float(pairs.budget_prefix[lo:hi, -1].sum())
+            # One worker keeps everything; the rest land anywhere from a
+            # single element to a hair under their whole sampled spend.
+            share = 2.0 if j == 0 else rng.uniform(0.02, 1.0 - 1e-7)
+            tracker.register(j, total * share)
+        capped = batcher.build_instance(tasks, fleet, tracker, seed=seed)
+        expected = self._reference_keep_len(
+            uncapped, [tracker.remaining(j) for j in range(len(fleet))]
+        )
+        # Workers 1..7 (most pairs) cannot keep everything: they walk the
+        # loop, and it cuts vectors short as well as dropping pairs.
+        assert int(pairs.offsets[1]) < pairs.num_pairs // 2
+        lengths = pairs.budget_len.tolist()
+        assert any(0 < k < n for k, n in zip(expected, lengths))
+        assert any(k == 0 for k in expected)
+        table = capped.budgets
+        kept = [
+            len(table[(i, j)]) if (i, j) in table else 0
+            for i, j in uncapped.feasible_pairs()
+        ]
+        assert kept == expected
+
 
 class TestCappedArraySlicing:
     """The vectorized truncation must leave coherent CSR pair arrays."""
@@ -307,6 +349,22 @@ class TestCappedArraySlicing:
             batcher.build_instance([open_task(0)], [worker(0)], BrokenTracker(), seed=0)
         assert excinfo.value.worker_id == 0
         assert excinfo.value.spend is not None
+
+    def test_nan_remainder_keeps_nothing(self):
+        """A NaN remainder keeps no element: the cap check reports a
+        worst-case spend of zero, not the whole sampled vector."""
+        batcher = MicroBatcher(
+            budget_sampler=BudgetSampler(low=1.0, high=1.0, group_size=3)
+        )
+
+        class NanTracker(WorkerBudgetTracker):
+            def remaining(self, worker_id):
+                return float("nan")
+
+        tasks = [open_task(0), open_task(1, x=1.0)]
+        with pytest.raises(FlushBudgetError, match="flush cap") as excinfo:
+            batcher.build_instance(tasks, [worker(0)], NanTracker(), seed=0)
+        assert excinfo.value.spend == 0.0
 
 
 class TestAdaptiveBatchController:
@@ -362,3 +420,93 @@ class TestAdaptiveBatchController:
             controller=AdaptiveBatchController(max_size=100),
         )
         assert batcher.max_batch_size == 100
+
+
+class _RescanBuffer:
+    """The buffer semantics by full rescans: the reference for the
+    tracked-minimum triggers."""
+
+    def __init__(self, max_batch_size, max_wait):
+        self.max_batch_size = max_batch_size
+        self.max_wait = max_wait
+        self.pending = []
+
+    def add(self, open_task):
+        self.pending.append(open_task)
+
+    def expire(self, now):
+        expired = [t for t in self.pending if t.expired(now)]
+        self.pending = [t for t in self.pending if not t.expired(now)]
+        return expired
+
+    def take_batch(self):
+        self.pending.sort(key=lambda t: (t.arrival_time, t.task.id))
+        batch = self.pending[: self.max_batch_size]
+        self.pending = self.pending[self.max_batch_size :]
+        return batch
+
+    def restore(self, open_tasks, now):
+        for open_task in open_tasks:
+            open_task.buffer_since = now
+        self.pending.extend(open_tasks)
+
+    def oldest_waiting(self):
+        return min((t.buffer_since for t in self.pending), default=None)
+
+    def flush_deadline(self):
+        oldest = self.oldest_waiting()
+        return None if oldest is None else oldest + self.max_wait
+
+    def should_flush(self, now):
+        if len(self.pending) >= self.max_batch_size:
+            return True
+        deadline = self.flush_deadline()
+        return deadline is not None and now >= deadline - 1e-12
+
+
+_times = st.integers(0, 80).map(lambda k: k * 0.125)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _times, st.integers(0, 24).map(lambda k: k * 0.125)),
+        st.tuples(st.just("take"), _times, st.integers(0, 6)),
+        st.tuples(st.just("expire"), _times, st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+class TestTrackedTriggers:
+    """``MicroBatcher``'s O(1) triggers against a rescanning buffer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=_ops,
+        max_batch_size=st.integers(1, 6),
+        max_wait=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_matches_a_naive_rescan(self, ops, max_batch_size, max_wait):
+        batcher = MicroBatcher(max_batch_size=max_batch_size, max_wait=max_wait)
+        naive = _RescanBuffer(max_batch_size, max_wait)
+
+        def ids(tasks):
+            return [t.task.id for t in tasks]
+
+        for step, (op, now, arg) in enumerate(ops):
+            if op == "add":
+                batcher.add(open_task(step, arrival=now, deadline=now + arg))
+                naive.add(open_task(step, arrival=now, deadline=now + arg))
+            elif op == "take":
+                taken, naive_taken = batcher.take_batch(), naive.take_batch()
+                assert ids(taken) == ids(naive_taken)
+                # A prefix of the losers returns, with a restarted clock.
+                batcher.restore(taken[:arg], now)
+                naive.restore(naive_taken[:arg], now)
+            else:
+                assert ids(batcher.expire(now)) == ids(naive.expire(now))
+            assert ids(batcher.pending) == ids(naive.pending)
+            assert batcher.oldest_waiting() == naive.oldest_waiting()
+            assert batcher.flush_deadline() == naive.flush_deadline()
+            deadlines = [t.deadline for t in naive.pending]
+            assert batcher.earliest_deadline() == min(deadlines, default=None)
+            for probe in (now, now + max_wait / 2, now + max_wait, math.inf):
+                assert batcher.should_flush(probe) == naive.should_flush(probe)
